@@ -80,3 +80,44 @@ func TestFrameDecodeZeroAlloc(t *testing.T) {
 		t.Fatalf("warm ReadMessage+ReleaseMessage: %.2f allocs/op, want 0", n)
 	}
 }
+
+// TestCompactCodecZeroAlloc covers the varint and kind-shaped codecs at
+// realistic sizes: a warm encode+decode of a 1,000-id list and of a
+// 16-query batch allocates nothing.
+func TestCompactCodecZeroAlloc(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts differ under -race")
+	}
+	ids := make([]uint32, 1000)
+	for i := range ids {
+		ids[i] = uint32(i*i) % 139_006 // unsorted: deltas of both signs
+	}
+	batch := &BatchQueryMsg{ID: 2, TimeoutMicros: 1000}
+	for i := 0; i < 16; i++ {
+		q := QueryMsg{Kind: uint8(i % 3), Mode: ModeIDs, K: 8,
+			Point:  geom.Point{X: float64(i), Y: 1},
+			Window: geom.Rect{Max: geom.Point{X: float64(i + 1), Y: 1}}}
+		if i%4 == 0 {
+			q.Eps = 0.5
+		}
+		batch.Queries = append(batch.Queries, q)
+	}
+	for _, m := range []Message{&IDListMsg{ID: 1, Epoch: 7, IDs: ids}, batch} {
+		var buf []byte
+		rd := bytes.NewReader(nil)
+		if n := testing.AllocsPerRun(200, func() {
+			var err error
+			if buf, err = AppendFrame(buf[:0], m); err != nil {
+				t.Fatal(err)
+			}
+			rd.Reset(buf)
+			got, _, err := ReadMessage(rd)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ReleaseMessage(got)
+		}); n != 0 {
+			t.Fatalf("warm %v encode+decode: %.2f allocs/op, want 0", m.Type(), n)
+		}
+	}
+}

@@ -19,13 +19,13 @@ const (
 // MaxBatchQueries bounds one batch's sub-queries.
 const MaxBatchQueries = 1024
 
-// wireQueryBytes is the fixed encoded size of one QueryMsg payload:
-// id(4) + kind(1) + mode(1) + k(2) + point(16) + window(32) + eps(8) +
-// timeout(4).
-const wireQueryBytes = 68
+// minShapeBytes is the smallest sub-query of a batch: a tag and a point.
+const minShapeBytes = 1 + 16
 
-// BatchQueryMsg is N queries in one frame. The per-query TimeoutMicros
-// fields are ignored; the batch-level timeout governs the whole exchange.
+// BatchQueryMsg is N queries in one frame. A sub-query travels as its tag
+// and geometry only: the per-query ID and TimeoutMicros fields are not sent
+// (they decode as zero), and the batch-level timeout governs the whole
+// exchange.
 type BatchQueryMsg struct {
 	ID            uint32
 	TimeoutMicros uint32
@@ -59,7 +59,8 @@ func (m *BatchQueryMsg) appendPayload(b []byte) []byte {
 	b = appendU32(b, m.TimeoutMicros)
 	b = appendU16(b, uint16(len(m.Queries)))
 	for i := range m.Queries {
-		b = m.Queries[i].appendPayload(b)
+		q := &m.Queries[i]
+		b = q.appendGeometry(append(b, q.tag()))
 	}
 	return b
 }
@@ -69,20 +70,13 @@ func (m *BatchQueryMsg) decodePayload(b []byte) error {
 	m.ID = d.u32()
 	m.TimeoutMicros = d.u32()
 	n := int(d.u16())
-	if d.err == nil && n*wireQueryBytes != len(d.b)-d.off {
-		return fmt.Errorf("proto: batch count %d does not match %d payload bytes", n, len(d.b)-d.off)
+	if d.err == nil && n*minShapeBytes > len(d.b)-d.off {
+		return fmt.Errorf("proto: batch count %d exceeds %d payload bytes", n, len(d.b)-d.off)
 	}
 	qs := m.Queries[:0]
-	for i := 0; i < n; i++ {
-		qb := d.bytes(wireQueryBytes)
-		if d.err != nil {
-			break
-		}
+	for i := 0; i < n && d.err == nil; i++ {
 		qs = append(qs, QueryMsg{})
-		if err := qs[i].decodePayload(qb); err != nil {
-			m.Queries = qs
-			return err
-		}
+		d.query(&qs[i], d.u8())
 	}
 	m.Queries = qs
 	return d.finish("batch-query")
@@ -178,10 +172,7 @@ func (m *BatchReplyMsg) appendPayload(b []byte) []byte {
 		case batchTagRecs:
 			b = appendRecords(b, it.Recs)
 		default:
-			b = appendU32(b, uint32(len(it.IDs)))
-			for _, id := range it.IDs {
-				b = appendU32(b, id)
-			}
+			b = appendIDs(b, it.IDs)
 		}
 	}
 	return b
@@ -218,7 +209,7 @@ func (m *BatchReplyMsg) decodePayload(b []byte) error {
 		case batchTagRecs:
 			it.Recs = d.appendRecordsN(it.Recs, int(d.u32()))
 		case batchTagIDs:
-			it.IDs = d.appendIDsN(it.IDs, int(d.u32()))
+			it.IDs = d.appendIDs(it.IDs)
 		default:
 			return fmt.Errorf("proto: batch item %d has unknown tag %d", i, tag)
 		}

@@ -12,7 +12,6 @@ func testBatchQuery(n int) *BatchQueryMsg {
 	m := &BatchQueryMsg{ID: 42, TimeoutMicros: 250_000}
 	for i := 0; i < n; i++ {
 		m.Queries = append(m.Queries, QueryMsg{
-			ID:   uint32(i),
 			Kind: KindRange,
 			Mode: ModeIDs,
 			Window: geom.Rect{
@@ -26,7 +25,7 @@ func testBatchQuery(n int) *BatchQueryMsg {
 
 // TestBatchFrameAmortizesHeaders pins the batching arithmetic the energy
 // model relies on: a batch of N queries costs one frame, and its payload
-// grows by exactly wireQueryBytes per query.
+// grows by exactly one tag byte and one window per range query.
 func TestBatchFrameAmortizesHeaders(t *testing.T) {
 	one, err := EncodeMessage(testBatchQuery(1))
 	if err != nil {
@@ -36,7 +35,7 @@ func TestBatchFrameAmortizesHeaders(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, want := len(sixteen)-len(one), 15*wireQueryBytes; got != want {
+	if got, want := len(sixteen)-len(one), 15*(1+32); got != want {
 		t.Fatalf("batch growth: got %d bytes per 15 queries, want %d", got, want)
 	}
 	// One query message alone costs a full frame header; in a batch of 16 the

@@ -37,6 +37,12 @@ func FuzzReadMessage(f *testing.F) {
 		f.Add(ack)
 	}
 
+	// Compact-encoding seeds: lying id counts, over-long varints, id deltas
+	// leaving uint32, unknown query tag bits, a truncated batch item.
+	for _, frame := range hostileFrames() {
+		f.Add(frame)
+	}
+
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// Refuse declared payloads beyond 1 MB up front: the decoder handles
 		// them (chunked reads fail fast on truncated input), but a fuzzer

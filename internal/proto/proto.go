@@ -83,7 +83,9 @@ func (t Transfer) ChargeProcessing(rec ops.Recorder, sending bool) {
 // Message sizes of the work-partitioning protocol (§4). All sizes in bytes.
 // Object ids are 4 bytes; a query descriptor carries the query type, its
 // geometry parameters, and (for the insufficient-memory scenario) the
-// client's memory availability.
+// client's memory availability. These deliberately model the paper's 2003
+// protocol, which internal/core and mqsim price; the live wire (wire.go)
+// encodes queries and id lists more compactly.
 const (
 	QueryRequestBytes = 64
 	ObjectIDBytes     = 4

@@ -5,9 +5,11 @@
 //
 //	uint32 big-endian payload length | uint8 message type | payload
 //
-// All multi-byte integers are big-endian; floats are IEEE-754 bit patterns.
-// Every message carries a request id so a connection can pipeline requests
-// and match responses arriving out of order.
+// Fixed-width integers are big-endian; floats are IEEE-754 bit patterns. Id
+// lists are uvarint-coded (appendIDs) and queries carry only their kind's
+// geometry (QueryMsg.appendPayload), because the client's radio pays for
+// every byte. Every message carries a request id so a connection can
+// pipeline requests and match responses arriving out of order.
 package proto
 
 import (
@@ -15,6 +17,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 
 	"mobispatial/internal/geom"
 )
@@ -229,41 +232,66 @@ func (m *QueryMsg) Validate() error {
 	if m.Eps < 0 || math.IsNaN(m.Eps) || math.IsInf(m.Eps, 0) {
 		return fmt.Errorf("proto: bad eps %v", m.Eps)
 	}
-	// Both geometry fields are validated regardless of kind — a don't-care
-	// field must still be well-formed or malformed frames survive re-encoding
-	// (found by fuzzing).
+	// Only the kind's own geometry goes on the wire, so only it is checked:
+	// the encoder drops the other fields and a decode leaves them zero.
+	if m.Kind != KindRange {
+		return checkPoint(m.Point)
+	}
 	if err := checkRect(m.Window); err != nil {
 		return err
 	}
-	if err := checkPoint(m.Point); err != nil {
-		return err
-	}
-	if m.Kind == KindRange && m.Window.IsEmpty() {
+	if m.Window.IsEmpty() {
 		return fmt.Errorf("proto: empty range window")
 	}
 	return nil
 }
 
+// The query tag byte: kind in bits 0-1, mode in bits 2-3, and bit 4 set
+// when an eps follows the geometry. Any other set bit is rejected.
+const (
+	queryModeShift = 2
+	queryEpsBit    = 1 << 4
+)
+
+func (m *QueryMsg) tag() byte {
+	t := m.Kind | byte(m.Mode)<<queryModeShift
+	if m.Eps != 0 {
+		t |= queryEpsBit
+	}
+	return t
+}
+
+// appendGeometry appends only what the kind needs — a point, a window, or
+// a point and k — then eps when it is set.
+func (m *QueryMsg) appendGeometry(b []byte) []byte {
+	switch m.Kind {
+	case KindRange:
+		b = appendRect(b, m.Window)
+	case KindNN:
+		b = appendU16(appendPoint(b, m.Point), m.K)
+	default:
+		b = appendPoint(b, m.Point)
+	}
+	if m.Eps != 0 {
+		b = appendF64(b, m.Eps)
+	}
+	return b
+}
+
+// A query payload is id, tag, timeout and the kind's geometry: 25 bytes for
+// a point, 41 for a range and 27 for a k-NN query, 8 more with an eps.
 func (m *QueryMsg) appendPayload(b []byte) []byte {
-	b = appendU32(b, m.ID)
-	b = append(b, m.Kind, byte(m.Mode))
-	b = appendU16(b, m.K)
-	b = appendPoint(b, m.Point)
-	b = appendRect(b, m.Window)
-	b = appendF64(b, m.Eps)
-	return appendU32(b, m.TimeoutMicros)
+	b = append(appendU32(b, m.ID), m.tag())
+	return m.appendGeometry(appendU32(b, m.TimeoutMicros))
 }
 
 func (m *QueryMsg) decodePayload(b []byte) error {
 	d := decoder{b: b}
-	m.ID = d.u32()
-	m.Kind = d.u8()
-	m.Mode = Mode(d.u8())
-	m.K = d.u16()
-	m.Point = d.point()
-	m.Window = d.rect()
-	m.Eps = d.f64()
-	m.TimeoutMicros = d.u32()
+	id := d.u32()
+	tag := d.u8()
+	timeout := d.u32()
+	d.query(m, tag)
+	m.ID, m.TimeoutMicros = id, timeout
 	return d.finish("query")
 }
 
@@ -284,9 +312,13 @@ func (m *IDListMsg) Type() MsgType { return MsgIDList }
 // RequestID implements Message.
 func (m *IDListMsg) RequestID() uint32 { return m.ID }
 
+// maxListIDs bounds an id list so that it fits one frame even when every id
+// takes the most bytes: id(4) + epoch(8) + count varint, then ids.
+const maxListIDs = (MaxFramePayload - 12 - maxVarintBytes) / maxVarintBytes
+
 // Validate implements Message.
 func (m *IDListMsg) Validate() error {
-	if n := len(m.IDs); n > (MaxFramePayload-8)/4 {
+	if n := len(m.IDs); n > maxListIDs {
 		return fmt.Errorf("proto: id list of %d ids exceeds frame limit", n)
 	}
 	return nil
@@ -295,22 +327,14 @@ func (m *IDListMsg) Validate() error {
 func (m *IDListMsg) appendPayload(b []byte) []byte {
 	b = appendU32(b, m.ID)
 	b = binaryAppendU64(b, m.Epoch)
-	b = appendU32(b, uint32(len(m.IDs)))
-	for _, id := range m.IDs {
-		b = appendU32(b, id)
-	}
-	return b
+	return appendIDs(b, m.IDs)
 }
 
 func (m *IDListMsg) decodePayload(b []byte) error {
 	d := decoder{b: b}
 	m.ID = d.u32()
 	m.Epoch = d.u64()
-	n := int(d.u32())
-	if d.err == nil && n*4 != len(d.b)-d.off {
-		return fmt.Errorf("proto: id list count %d does not match %d payload bytes", n, len(d.b)-d.off)
-	}
-	m.IDs = d.appendIDsN(m.IDs[:0], n)
+	m.IDs = d.appendIDs(m.IDs[:0])
 	return d.finish("id-list")
 }
 
@@ -601,6 +625,19 @@ func EncodeMessage(m Message) ([]byte, error) {
 	return b, nil
 }
 
+// FrameLen returns the size of m's complete frame, header included, or 0
+// when m does not validate — what sending m would cost the radio.
+func FrameLen(m Message) int {
+	pb := getBuf()
+	b, err := AppendFrame((*pb)[:0], m)
+	*pb = b
+	putBuf(pb)
+	if err != nil {
+		return 0
+	}
+	return len(b)
+}
+
 // WriteMessage frames and writes m in a single Write call (callers serialize
 // concurrent writers with their own mutex; one call keeps frames intact for
 // any io.Writer that does not split writes). The encode buffer is pooled, so
@@ -854,28 +891,109 @@ func (d *decoder) records() []Record {
 	return recs
 }
 
-// appendIDsN appends n decoded ids to dst, reusing its capacity. The count
-// is bounds-checked against the remaining payload before dst grows, so a
-// hostile count cannot force a huge allocation.
-func (d *decoder) appendIDsN(dst []uint32, n int) []uint32 {
-	if d.err != nil || n <= 0 {
-		if n < 0 && d.err == nil {
-			d.err = fmt.Errorf("negative id count %d", n)
+// query decodes a query's geometry after its tag into m, leaving the
+// fields the kind does not carry zero. eps flagged present must be non-zero,
+// so every accepted query has exactly one encoding.
+func (d *decoder) query(m *QueryMsg, tag byte) {
+	*m = QueryMsg{Kind: tag & 3, Mode: Mode(tag >> queryModeShift & 3)}
+	if d.err != nil {
+		return
+	}
+	if tag&^(queryEpsBit|0xF) != 0 || m.Kind > KindNN {
+		d.err = fmt.Errorf("bad query tag %#x", tag)
+		return
+	}
+	switch m.Kind {
+	case KindRange:
+		m.Window = d.rect()
+	case KindNN:
+		m.Point = d.point()
+		m.K = d.u16()
+	default:
+		m.Point = d.point()
+	}
+	if tag&queryEpsBit != 0 {
+		if m.Eps = d.f64(); d.err == nil && m.Eps == 0 {
+			d.err = fmt.Errorf("query flags a zero eps")
 		}
+	}
+}
+
+// maxVarintBytes bounds one uvarint on the wire: five bytes carry 35 bits,
+// enough for any count and any zigzag delta between two uint32 ids.
+const maxVarintBytes = 5
+
+// appendIDs appends an id list: a uvarint count, then each id as the
+// zigzag uvarint of its difference from the one before (the first from 0).
+// The order is kept, so distance-ordered k-NN answers survive; a sorted
+// set costs one or two bytes per id.
+func appendIDs(b []byte, ids []uint32) []byte {
+	b = binary.AppendUvarint(b, uint64(len(ids)))
+	prev := int64(0)
+	for _, id := range ids {
+		delta := int64(id) - prev
+		b = binary.AppendUvarint(b, uint64(delta<<1^delta>>63))
+		prev = int64(id)
+	}
+	return b
+}
+
+// uvarint reads one minimally encoded uvarint of at most maxVarintBytes.
+func (d *decoder) uvarint() uint64 {
+	var v uint64
+	for i := 0; i < maxVarintBytes; i++ {
+		c := d.u8()
+		if d.err != nil {
+			return 0
+		}
+		v |= uint64(c&0x7F) << (7 * i)
+		if c < 0x80 {
+			if c == 0 && i > 0 {
+				d.err = fmt.Errorf("non-minimal varint at byte %d", d.off-1)
+			}
+			return v
+		}
+	}
+	d.err = fmt.Errorf("varint longer than %d bytes at byte %d", maxVarintBytes, d.off)
+	return 0
+}
+
+// appendIDs decodes an id list onto dst, reusing its capacity. The count is
+// checked against the remaining payload (every id takes at least a byte)
+// before dst grows, so a hostile count cannot force a huge allocation; an
+// id leaving [0, 2^32) is rejected.
+func (d *decoder) appendIDs(dst []uint32) []uint32 {
+	n := d.uvarint()
+	if d.err != nil {
 		return dst
 	}
-	if !d.need(n * 4) {
+	if n > uint64(len(d.b)-d.off) {
+		d.err = fmt.Errorf("id count %d exceeds the %d bytes left", n, len(d.b)-d.off)
 		return dst
 	}
-	for i := 0; i < n; i++ {
-		dst = append(dst, binary.BigEndian.Uint32(d.b[d.off:]))
-		d.off += 4
+	dst = slices.Grow(dst, int(n))
+	prev := int64(0)
+	for ; n > 0; n-- {
+		var z uint64
+		if d.off < len(d.b) && d.b[d.off] < 0x80 {
+			z = uint64(d.b[d.off]) // a one-byte delta, the common case
+			d.off++
+		} else if z = d.uvarint(); d.err != nil {
+			return dst
+		}
+		id := prev + (int64(z>>1) ^ -int64(z&1))
+		if id < 0 || id > math.MaxUint32 {
+			d.err = fmt.Errorf("id delta leaves uint32 range at byte %d", d.off)
+			return dst
+		}
+		dst = append(dst, uint32(id))
+		prev = id
 	}
 	return dst
 }
 
 // appendRecordsN appends n decoded records to dst, reusing its capacity,
-// with the same bounds discipline as appendIDsN.
+// with the same bounds discipline as appendIDs.
 func (d *decoder) appendRecordsN(dst []Record, n int) []Record {
 	if d.err != nil || n <= 0 {
 		if n < 0 && d.err == nil {

@@ -2,9 +2,11 @@ package proto
 
 import (
 	"bytes"
+	"encoding/binary"
 	"io"
 	"math"
 	"reflect"
+	"slices"
 	"testing"
 
 	"mobispatial/internal/geom"
@@ -53,10 +55,10 @@ func allMessages() []Message {
 		},
 		&StatsMsg{ID: 19}, // an empty snapshot is legal
 		&BatchQueryMsg{ID: 20, TimeoutMicros: 500_000, Queries: []QueryMsg{
-			{ID: 1, Kind: KindRange, Mode: ModeIDs,
+			{Kind: KindRange, Mode: ModeIDs,
 				Window: geom.Rect{Min: geom.Point{X: 1, Y: 2}, Max: geom.Point{X: 3, Y: 4}}},
-			{ID: 2, Kind: KindPoint, Mode: ModeData, Point: geom.Point{X: 9, Y: 9}, Eps: 0.5},
-			{ID: 3, Kind: KindNN, Mode: ModeIDs, K: 3, Point: geom.Point{X: -1, Y: -2}},
+			{Kind: KindPoint, Mode: ModeData, Point: geom.Point{X: 9, Y: 9}, Eps: 0.5},
+			{Kind: KindNN, Mode: ModeIDs, K: 3, Point: geom.Point{X: -1, Y: -2}},
 		}},
 		&BatchReplyMsg{ID: 20, Items: []BatchItem{
 			{IDs: []uint32{5, 6, 7}},
@@ -141,6 +143,9 @@ func wireEqual(a, b Message) bool {
 	case *PingMsg:
 		y := b.(*PingMsg)
 		return x.ID == y.ID && bytes.Equal(x.Payload, y.Payload)
+	case *NeighborsMsg:
+		y := b.(*NeighborsMsg)
+		return x.ID == y.ID && slices.Equal(x.Neighbors, y.Neighbors)
 	case *BatchReplyMsg:
 		y := b.(*BatchReplyMsg)
 		if x.ID != y.ID || len(x.Items) != len(y.Items) {
@@ -297,7 +302,7 @@ func TestWireRejectsCorruptFrames(t *testing.T) {
 
 	// Inner count disagreeing with the payload length.
 	badCount := append([]byte(nil), frame...)
-	badCount[FrameHeaderBytes+15] = 99 // id-list count field (after id u32 + epoch u64)
+	badCount[FrameHeaderBytes+12] = 99 // id-list count varint (after id u32 + epoch u64)
 	if _, _, err := ReadMessage(bytes.NewReader(badCount)); err == nil {
 		t.Fatal("mismatched count accepted")
 	}
@@ -326,5 +331,159 @@ func TestWireFrameLayout(t *testing.T) {
 	}
 	if !bytes.Equal(frame, want) {
 		t.Fatalf("frame layout drifted:\n got  %v\n want %v", frame, want)
+	}
+}
+
+// TestQueryFrameSizes pins the kind-shaped query frames: each kind carries
+// only its own geometry, and eps costs 8 bytes only when it is set.
+func TestQueryFrameSizes(t *testing.T) {
+	pt := geom.Point{X: 3, Y: 4}
+	win := geom.Rect{Max: geom.Point{X: 1, Y: 1}}
+	for _, c := range []struct {
+		q    QueryMsg
+		want int
+	}{
+		{QueryMsg{Kind: KindPoint, Mode: ModeIDs, Point: pt}, 30},
+		{QueryMsg{Kind: KindRange, Mode: ModeIDs, Window: win}, 46},
+		{QueryMsg{Kind: KindNN, Mode: ModeIDs, Point: pt, K: 8}, 32},
+		{QueryMsg{Kind: KindPoint, Mode: ModeData, Point: pt, Eps: 2}, 38},
+	} {
+		f, err := EncodeMessage(&c.q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(f) != c.want {
+			t.Errorf("kind %d eps %v: %d-byte frame, want %d", c.q.Kind, c.q.Eps, len(f), c.want)
+		}
+	}
+}
+
+// TestIDListKeepsOrder round-trips distance-ordered (unsorted) id lists,
+// whose deltas go negative, including the extremes of the id space.
+func TestIDListKeepsOrder(t *testing.T) {
+	for _, ids := range [][]uint32{
+		{907, 12, 5000, 13, 0, 0xFFFFFFFF, 0, 0xFFFFFFFF},
+		{0xFFFFFFFF, 0xFFFFFFFE, 1},
+		{42, 42, 42},
+	} {
+		f, err := EncodeMessage(&IDListMsg{ID: 1, IDs: ids})
+		if err != nil {
+			t.Fatal(err)
+		}
+		m, _, err := ReadMessage(bytes.NewReader(f))
+		if err != nil {
+			t.Fatalf("%v: %v", ids, err)
+		}
+		if got := m.(*IDListMsg).IDs; !slicesEqual(got, ids) {
+			t.Fatalf("order lost: sent %v, got %v", ids, got)
+		}
+	}
+	// A sorted set of nearby ids costs about a byte per id.
+	sorted := make([]uint32, 1000)
+	for i := range sorted {
+		sorted[i] = 100_000 + uint32(3*i)
+	}
+	f, err := EncodeMessage(&IDListMsg{ID: 1, IDs: sorted})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(f) > FrameHeaderBytes+12+2+3+len(sorted) {
+		t.Fatalf("1000 sorted ids took %d bytes", len(f))
+	}
+}
+
+// rawFrame wraps a payload in a frame header.
+func rawFrame(t MsgType, payload ...byte) []byte {
+	f := binary.BigEndian.AppendUint32(nil, uint32(len(payload)))
+	return append(append(f, byte(t)), payload...)
+}
+
+// idListFrame is an id-list frame whose payload after id and epoch is body.
+func idListFrame(body ...byte) []byte {
+	return rawFrame(MsgIDList, append(make([]byte, 12), body...)...)
+}
+
+// hostileFrames are malformed compact frames the decoder must reject, each
+// named by the defect it carries.
+func hostileFrames() map[string][]byte {
+	top := binary.AppendUvarint(nil, uint64(0xFFFFFFFF)<<1) // zigzag(2^32-1)
+	queryBody := func(tag byte) []byte {
+		b := []byte{0, 0, 0, 1, tag, 0, 0, 0, 0}
+		return append(b, make([]byte, 16)...) // a point
+	}
+	goodReply, _ := EncodeMessage(&BatchReplyMsg{ID: 1, Items: []BatchItem{{IDs: []uint32{3, 1, 2}}}})
+	return map[string][]byte{
+		"lying id count":          idListFrame(5, 2),
+		"huge id count":           idListFrame(0xFF, 0xFF, 0xFF, 0x7F, 2),
+		"6-byte count varint":     idListFrame(0x81, 0x80, 0x80, 0x80, 0x80, 0x00),
+		"6-byte id varint":        idListFrame(1, 0x80, 0x80, 0x80, 0x80, 0x80, 0x01),
+		"non-minimal varint":      idListFrame(0x81, 0x00, 2),
+		"delta below 0":           idListFrame(1, 1),
+		"delta past 2^32":         idListFrame(append(append([]byte{2}, top...), 2)...),
+		"5-byte delta past 2^32":  idListFrame(1, 0x80, 0x80, 0x80, 0x80, 0x7F),
+		"trailing id byte":        idListFrame(1, 2, 0),
+		"unknown query tag bit 5": rawFrame(MsgQuery, queryBody(0x20)...),
+		"unknown query tag bit 7": rawFrame(MsgQuery, queryBody(0x80)...),
+		"query kind 3":            rawFrame(MsgQuery, queryBody(0x03)...),
+		"eps flagged but zero":    rawFrame(MsgQuery, append(queryBody(queryEpsBit), make([]byte, 8)...)...),
+		"batch count past payload": rawFrame(MsgBatchQuery, 0, 0, 0, 1, 0, 0, 0, 0, 0, 2,
+			0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0),
+		"truncated compact batch item": func() []byte {
+			f := append([]byte(nil), goodReply[:len(goodReply)-1]...)
+			binary.BigEndian.PutUint32(f, uint32(len(f)-FrameHeaderBytes))
+			return f
+		}(),
+	}
+}
+
+// TestCompactDecodeRejectsHostileInput requires every hostile frame to be
+// refused with an error.
+func TestCompactDecodeRejectsHostileInput(t *testing.T) {
+	for name, f := range hostileFrames() {
+		if m, _, err := ReadMessage(bytes.NewReader(f)); err == nil {
+			t.Errorf("%s: accepted as %+v", name, m)
+		}
+	}
+	// Every truncation of a mixed compact batch and reply is refused too.
+	for _, m := range []Message{
+		&BatchQueryMsg{ID: 1, Queries: []QueryMsg{
+			{Kind: KindNN, Mode: ModeIDs, K: 4},
+			{Kind: KindPoint, Mode: ModeIDs, Eps: 3},
+			{Kind: KindRange, Mode: ModeFilter, Window: geom.Rect{Max: geom.Point{X: 1, Y: 1}}},
+		}},
+		&BatchReplyMsg{ID: 1, Items: []BatchItem{{IDs: []uint32{9, 1 << 31, 4}}, {}, {IDs: []uint32{7}}}},
+	} {
+		f, err := EncodeMessage(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for cut := FrameHeaderBytes; cut < len(f); cut++ {
+			short := append([]byte(nil), f[:cut]...)
+			binary.BigEndian.PutUint32(short, uint32(cut-FrameHeaderBytes))
+			if _, _, err := ReadMessage(bytes.NewReader(short)); err == nil {
+				t.Fatalf("%v cut to %d of %d bytes accepted", m.Type(), cut, len(f))
+			}
+		}
+	}
+}
+
+// TestIDListOverFrameLimitErrors checks that a list too long for one frame
+// fails to encode instead of being cut short.
+func TestIDListOverFrameLimitErrors(t *testing.T) {
+	m := &IDListMsg{ID: 1, IDs: make([]uint32, maxListIDs+1)}
+	if err := m.Validate(); err == nil {
+		t.Fatal("Validate accepted an over-limit id list")
+	}
+	dst := []byte{1, 2, 3}
+	out, err := AppendFrame(dst, m)
+	if err == nil {
+		t.Fatal("AppendFrame encoded an over-limit id list")
+	}
+	if len(out) != len(dst) {
+		t.Fatalf("failed encode left %d bytes, want the %d it was given", len(out), len(dst))
+	}
+	// The worst case at the limit still fits a frame.
+	if 12+maxVarintBytes+maxListIDs*maxVarintBytes > MaxFramePayload {
+		t.Fatal("maxListIDs admits lists that overflow a frame")
 	}
 }

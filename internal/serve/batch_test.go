@@ -52,15 +52,15 @@ func TestBatchQueriesMatchPool(t *testing.T) {
 			}
 			switch i % 4 {
 			case 0:
-				if want := pool.Range(q.Window); !sameIDs(res[i].IDs, want) {
+				if want := sortedIDs(pool.Range(q.Window)); !sameIDs(res[i].IDs, want) {
 					t.Fatalf("round %d item %d: range mismatch", round, i)
 				}
 			case 1:
-				if want := pool.Point(q.Point, srv.cfg.PointEps); !sameIDs(res[i].IDs, want) {
+				if want := sortedIDs(pool.Point(q.Point, srv.cfg.PointEps)); !sameIDs(res[i].IDs, want) {
 					t.Fatalf("round %d item %d: point mismatch", round, i)
 				}
 			case 2:
-				if want := pool.FilterRange(q.Window); !sameIDs(res[i].IDs, want) {
+				if want := sortedIDs(pool.FilterRange(q.Window)); !sameIDs(res[i].IDs, want) {
 					t.Fatalf("round %d item %d: filter mismatch", round, i)
 				}
 			case 3:
@@ -114,7 +114,7 @@ func TestBatchPerItemError(t *testing.T) {
 	if em, ok := res[1].Err.(*proto.ErrorMsg); !ok || em.Code != proto.CodeBadRequest {
 		t.Fatalf("item error = %v, want CodeBadRequest", res[1].Err)
 	}
-	want := pool.Range(w)
+	want := sortedIDs(pool.Range(w))
 	for _, i := range []int{0, 2} {
 		if res[i].Err != nil || !sameIDs(res[i].IDs, want) {
 			t.Fatalf("healthy item %d failed alongside the bad one: %v", i, res[i].Err)

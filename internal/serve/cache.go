@@ -11,9 +11,8 @@
 //   - KindRange stores RangeAppend(snap) — segments intersecting the snapped
 //     window. snap ⊇ window, and segment∩window ⇒ segment∩snap, so keeping
 //     exactly the segments with IntersectsRect(window) reproduces
-//     RangeAppend(window). Order is preserved too: a packed-tree DFS reports
-//     ids in a window-independent subsequence of tree order, so filtering the
-//     superset sequence yields the exact query's sequence.
+//     RangeAppend(window). Order matches too: the superset is stored sorted
+//     and filtering keeps it so, the order the uncached path sorts into.
 //   - KindRangeFilter stores FilterRangeAppend(snap) — candidate ids whose
 //     MBR intersects the snapped window — refined with MBR.Intersects(window).
 //   - KindCell stores FilterRangeAppend(cell) for the one grid cell holding
@@ -238,6 +237,9 @@ func (s *Server) runSuperset(key qcache.Key, super geom.Rect, pt geom.Point, k i
 	if err != nil {
 		code, text = errToCode(err)
 		return code, text, false
+	}
+	if key.Kind() != qcache.KindNN {
+		sc.sortIDs(sc.cids) // stored sorted, so every refined answer is too
 	}
 	ds := pool.Dataset()
 	for _, id := range sc.cids {

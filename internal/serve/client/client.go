@@ -352,15 +352,20 @@ func transientCode(code proto.ErrCode) bool {
 // ErrBreakerOpen (no wire traffic), and the caller that wins the half-open
 // slot pays one probe ping before its request proceeds.
 func (c *Client) do(req proto.Message) (proto.Message, error) {
-	return c.exchange(req, time.Time{})
+	return c.exchange(req, time.Time{}, nil)
 }
+
+// wireTally sums the frame bytes of one logical request over its attempts,
+// so energy attribution prices what the radio actually moved.
+type wireTally struct{ tx, rx int }
 
 // exchange is do with an optional absolute deadline capping the whole retry
 // loop — attempts and backoff sleeps included. A zero deadline keeps do's
 // classic budget (every attempt gets RequestTimeout). The router passes the
 // query's deadline here so it caps the slowest backend leg end to end
-// instead of being re-applied per attempt or per hop.
-func (c *Client) exchange(req proto.Message, deadline time.Time) (proto.Message, error) {
+// instead of being re-applied per attempt or per hop. A non-nil t receives
+// the bytes of every completed attempt, as WireStats counts them.
+func (c *Client) exchange(req proto.Message, deadline time.Time, t *wireTally) (proto.Message, error) {
 	var lastErr error
 	for attempt := 0; ; attempt++ {
 		if !deadline.IsZero() && !time.Now().Before(deadline) {
@@ -383,7 +388,7 @@ func (c *Client) exchange(req proto.Message, deadline time.Time) (proto.Message,
 			c.brk.probeResult(true, time.Now())
 			c.observeBreaker()
 		}
-		resp, err := c.roundTrip(req, deadline)
+		resp, err := c.roundTrip(req, deadline, t)
 		if err == nil {
 			if em, ok := resp.(*proto.ErrorMsg); ok && transientCode(em.Code) {
 				lastErr = em
@@ -440,7 +445,7 @@ func (c *Client) observeBreaker() {
 // another probe.
 func (c *Client) probeLink() error {
 	msg := &proto.PingMsg{ID: c.id()}
-	resp, err := c.roundTrip(msg, time.Time{})
+	resp, err := c.roundTrip(msg, time.Time{}, nil)
 	if err != nil {
 		return err
 	}
@@ -475,8 +480,8 @@ func backoffDelay(base, max time.Duration, attempt int, u float64) time.Duration
 
 // roundTrip performs one attempt on one pooled connection and feeds the link
 // tracker. A non-zero deadline tightens the attempt's socket deadline below
-// the RequestTimeout default.
-func (c *Client) roundTrip(req proto.Message, deadline time.Time) (proto.Message, error) {
+// the RequestTimeout default; a non-nil t is credited with the frame bytes.
+func (c *Client) roundTrip(req proto.Message, deadline time.Time, t *wireTally) (proto.Message, error) {
 	wc, err := c.checkout()
 	if err != nil {
 		return nil, err
@@ -512,6 +517,10 @@ func (c *Client) roundTrip(req proto.Message, deadline time.Time) (proto.Message
 	c.wire.bytesTx.Add(uint64(sentBytes))
 	c.wire.bytesRx.Add(uint64(respBytes))
 	c.wire.exchanges.Add(1)
+	if t != nil {
+		t.tx += sentBytes
+		t.rx += respBytes
+	}
 	bw := c.link.estimate().BandwidthBps
 	if bw <= 0 {
 		bw = 2e6 // the paper's base bandwidth when unmeasured
@@ -561,11 +570,11 @@ func (c *Client) timeoutMicros() uint32 {
 // owns q: the pooled request message is released after the exchange, so the
 // steady-state request path reuses one QueryMsg and one encode buffer per
 // connection instead of allocating them. Replies are NOT released — their
-// slices are handed to the caller.
-func (c *Client) query(q *proto.QueryMsg) ([]uint32, []proto.Record, error) {
+// slices are handed to the caller. A non-nil t receives the frame bytes.
+func (c *Client) query(q *proto.QueryMsg, t *wireTally) ([]uint32, []proto.Record, error) {
 	q.ID = c.id()
 	q.TimeoutMicros = c.timeoutMicros()
-	resp, err := c.do(q)
+	resp, err := c.exchange(q, time.Time{}, t)
 	proto.ReleaseMessage(q)
 	c.wire.queries.Add(1)
 	if err != nil {
@@ -593,7 +602,7 @@ func (c *Client) query(q *proto.QueryMsg) ([]uint32, []proto.Record, error) {
 // and the configured Fallback covers the query. Like query, it owns q.
 // With the semantic cache enabled and provably fresh for q, the exchange is
 // skipped entirely and the answer comes from the local sub-index.
-func (c *Client) queryWithFallback(q *proto.QueryMsg) ([]uint32, []proto.Record, error) {
+func (c *Client) queryWithFallback(q *proto.QueryMsg, t *wireTally) ([]uint32, []proto.Record, error) {
 	if ids, recs, ok := c.trySemantic(q); ok {
 		return ids, recs, nil
 	}
@@ -604,7 +613,7 @@ func (c *Client) queryWithFallback(q *proto.QueryMsg) ([]uint32, []proto.Record,
 	if c.fallback != nil {
 		cq, canLocal = coreQuery(q) // capture before query releases q
 	}
-	ids, recs, err := c.query(q)
+	ids, recs, err := c.query(q, t)
 	if err == nil || !canLocal || !fallbackEligible(err) || !c.fallback.Covers(cq) {
 		return ids, recs, err
 	}
@@ -674,7 +683,7 @@ func (c *Client) runFallback(cq core.Query) ([]proto.Record, error) {
 func (c *Client) Range(w geom.Rect) ([]proto.Record, error) {
 	q := proto.AcquireQuery()
 	q.Kind, q.Mode, q.Window = proto.KindRange, proto.ModeData, w
-	_, recs, err := c.queryWithFallback(q)
+	_, recs, err := c.queryWithFallback(q, nil)
 	return recs, err
 }
 
@@ -683,7 +692,7 @@ func (c *Client) Range(w geom.Rect) ([]proto.Record, error) {
 func (c *Client) RangeIDs(w geom.Rect) ([]uint32, error) {
 	q := proto.AcquireQuery()
 	q.Kind, q.Mode, q.Window = proto.KindRange, proto.ModeIDs, w
-	ids, _, err := c.queryWithFallback(q)
+	ids, _, err := c.queryWithFallback(q, nil)
 	return ids, err
 }
 
@@ -692,7 +701,7 @@ func (c *Client) RangeIDs(w geom.Rect) ([]uint32, error) {
 func (c *Client) FilterRange(w geom.Rect) ([]uint32, error) {
 	q := proto.AcquireQuery()
 	q.Kind, q.Mode, q.Window = proto.KindRange, proto.ModeFilter, w
-	ids, _, err := c.query(q)
+	ids, _, err := c.query(q, nil)
 	return ids, err
 }
 
@@ -701,7 +710,7 @@ func (c *Client) FilterRange(w geom.Rect) ([]uint32, error) {
 func (c *Client) Point(p geom.Point, eps float64) ([]proto.Record, error) {
 	q := proto.AcquireQuery()
 	q.Kind, q.Mode, q.Point, q.Eps = proto.KindPoint, proto.ModeData, p, eps
-	_, recs, err := c.queryWithFallback(q)
+	_, recs, err := c.queryWithFallback(q, nil)
 	return recs, err
 }
 
@@ -709,7 +718,7 @@ func (c *Client) Point(p geom.Point, eps float64) ([]proto.Record, error) {
 func (c *Client) PointIDs(p geom.Point, eps float64) ([]uint32, error) {
 	q := proto.AcquireQuery()
 	q.Kind, q.Mode, q.Point, q.Eps = proto.KindPoint, proto.ModeIDs, p, eps
-	ids, _, err := c.queryWithFallback(q)
+	ids, _, err := c.queryWithFallback(q, nil)
 	return ids, err
 }
 
@@ -718,7 +727,7 @@ func (c *Client) PointIDs(p geom.Point, eps float64) ([]uint32, error) {
 func (c *Client) Nearest(p geom.Point) (*proto.Record, error) {
 	q := proto.AcquireQuery()
 	q.Kind, q.Mode, q.Point = proto.KindNN, proto.ModeData, p
-	_, recs, err := c.queryWithFallback(q)
+	_, recs, err := c.queryWithFallback(q, nil)
 	if err != nil || len(recs) == 0 {
 		return nil, err
 	}
@@ -732,7 +741,7 @@ func (c *Client) KNearest(p geom.Point, k int) ([]proto.Record, error) {
 	}
 	q := proto.AcquireQuery()
 	q.Kind, q.Mode, q.Point, q.K = proto.KindNN, proto.ModeData, p, uint16(k)
-	_, recs, err := c.queryWithFallback(q)
+	_, recs, err := c.queryWithFallback(q, nil)
 	return recs, err
 }
 

@@ -39,7 +39,7 @@ func (c *Client) microsUntil(deadline time.Time) uint32 {
 func (c *Client) queryAppendUntil(q *proto.QueryMsg, dst []uint32, deadline time.Time) ([]uint32, error) {
 	q.ID = c.id()
 	q.TimeoutMicros = c.microsUntil(deadline)
-	resp, err := c.exchange(q, deadline)
+	resp, err := c.exchange(q, deadline, nil)
 	proto.ReleaseMessage(q)
 	c.wire.queries.Add(1)
 	if err != nil {
@@ -89,7 +89,7 @@ func (c *Client) KNearestNeighborsAppendUntil(dst []proto.Neighbor, pt geom.Poin
 	q.ID = c.id()
 	q.Point, q.K, q.Bound = pt, uint16(k), bound
 	q.TimeoutMicros = c.microsUntil(deadline)
-	resp, err := c.exchange(q, deadline)
+	resp, err := c.exchange(q, deadline, nil)
 	proto.ReleaseMessage(q)
 	c.wire.queries.Add(1)
 	if err != nil {
@@ -124,7 +124,7 @@ func (c *Client) QueryBatchVisit(qs []proto.QueryMsg, deadline time.Time, visit 
 	req.ID = c.id()
 	req.TimeoutMicros = c.microsUntil(deadline)
 	req.Queries = append(req.Queries[:0], qs...)
-	resp, err := c.exchange(req, deadline)
+	resp, err := c.exchange(req, deadline, nil)
 	proto.ReleaseMessage(req)
 	c.wire.queries.Add(uint64(len(qs)))
 	c.metrics.batches.Inc()

@@ -1,6 +1,7 @@
 package client_test
 
 import (
+	"math"
 	"net"
 	"strings"
 	"testing"
@@ -194,5 +195,52 @@ func TestPlannerSpansCarryEnergy(t *testing.T) {
 	// The wire stage exists whenever a bandwidth estimate is available.
 	if st, ok := stages["wire"]; !ok || st.Joules <= 0 {
 		t.Errorf("wire stage: present=%v joules=%g, want > 0", ok, st.Joules)
+	}
+}
+
+// TestPlannerWirePricesFramesSent checks that an offloaded query's wire
+// stage prices exactly the bytes the exchange moved: the transmit and
+// receive byte counts recovered from the stage's seconds and Joules equal
+// the client's WireStats delta.
+func TestPlannerWirePricesFramesSent(t *testing.T) {
+	ds, c, p, hub := obsWorld(t)
+	center := ds.Extent.Center()
+	const bw = 8e10 // wire time far below the loopback wall time: no scaling
+	c.SetLink(500*time.Microsecond, bw)
+	bigW := geom.Rect{
+		Min: geom.Point{X: center.X - 20000, Y: center.Y - 20000},
+		Max: geom.Point{X: center.X + 20000, Y: center.Y + 20000},
+	}
+	pre := c.WireStats()
+	if _, err := p.Execute(core.Range(bigW)); err != nil {
+		t.Fatalf("execute: %v", err)
+	}
+	post := c.WireStats()
+	if post.Exchanges-pre.Exchanges != 1 {
+		t.Fatalf("%d exchanges, want 1", post.Exchanges-pre.Exchanges)
+	}
+
+	var wire *obs.StageView
+	for _, sv := range hub.Trace.Snapshot().Sampled {
+		for i := range sv.Stages {
+			if sv.Scheme == "server-ids" && sv.Stages[i].Stage == "wire" {
+				wire = &sv.Stages[i]
+			}
+		}
+	}
+	if wire == nil {
+		t.Fatal("no server-ids span with a wire stage")
+	}
+	// seconds = (tx+rx)·8/bw and Joules = (PTx+PBlocked)·txSec +
+	// (PRx+PBlocked)·rxSec: two equations for the two byte counts.
+	em := hub.Energy
+	a, r := em.PTx+em.PBlocked, em.PRx+em.PBlocked
+	txSec := (wire.Joules - r*wire.Seconds) / (a - r)
+	rxSec := wire.Seconds - txSec
+	gotTx, gotRx := math.Round(txSec*bw/8), math.Round(rxSec*bw/8)
+	wantTx, wantRx := float64(post.BytesTx-pre.BytesTx), float64(post.BytesRx-pre.BytesRx)
+	if gotTx != wantTx || gotRx != wantRx {
+		t.Fatalf("wire stage priced %v B sent / %v B received, the exchange moved %v / %v",
+			gotTx, gotRx, wantTx, wantRx)
 	}
 }

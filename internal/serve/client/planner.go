@@ -8,6 +8,7 @@ package client
 
 import (
 	"fmt"
+	"math"
 	"time"
 
 	"mobispatial/internal/core"
@@ -262,11 +263,10 @@ func (p *Planner) runPlan(plan Plan, v core.Verdict, q core.Query, sp *obs.Span,
 		sp.Attribute(obs.StageIndexWalk, j, cy)
 		return Result{Plan: plan, Records: recs, Verdict: v}, err
 	case PlanServerIDs:
+		var t wireTally
 		start := time.Now()
-		ids, err := p.serverIDs(q)
-		netSec := time.Since(start).Seconds()
-		attributeWire(sp, em, netSec,
-			proto.QueryRequestBytes, proto.IDListBytes(len(ids)), bw)
+		ids, err := p.serverIDs(q, &t)
+		attributeWire(sp, em, time.Since(start).Seconds(), t.tx, t.rx, bw)
 		if err != nil {
 			return Result{Plan: plan}, err
 		}
@@ -280,11 +280,10 @@ func (p *Planner) runPlan(plan Plan, v core.Verdict, q core.Query, sp *obs.Span,
 				// happen only on uncovered queries, which don't take this
 				// plan; kept as a safety net): fall back to full records.
 				sp.SetScheme(PlanServerData.String())
+				var ft wireTally
 				fullStart := time.Now()
-				full, ferr := p.serverData(q)
-				attributeWire(sp, em, time.Since(fullStart).Seconds(),
-					proto.QueryRequestBytes,
-					proto.DataListBytes(len(full), proto.WireRecordBytes), bw)
+				full, ferr := p.serverData(q, &ft)
+				attributeWire(sp, em, time.Since(fullStart).Seconds(), ft.tx, ft.rx, bw)
 				return Result{Plan: PlanServerData, Records: full, Verdict: v}, ferr
 			}
 		}
@@ -294,41 +293,57 @@ func (p *Planner) runPlan(plan Plan, v core.Verdict, q core.Query, sp *obs.Span,
 		sp.Attribute(obs.StageReply, j, cy)
 		return Result{Plan: plan, Records: recs, Verdict: v}, nil
 	default:
+		var t wireTally
 		start := time.Now()
-		recs, err := p.serverData(q)
-		attributeWire(sp, em, time.Since(start).Seconds(),
-			proto.QueryRequestBytes,
-			proto.DataListBytes(len(recs), proto.WireRecordBytes), bw)
+		recs, err := p.serverData(q, &t)
+		attributeWire(sp, em, time.Since(start).Seconds(), t.tx, t.rx, bw)
 		return Result{Plan: plan, Records: recs, Verdict: v}, err
 	}
 }
 
-func (p *Planner) serverIDs(q core.Query) ([]uint32, error) {
-	switch q.Kind {
-	case core.PointQuery:
-		return p.c.PointIDs(q.Point, p.eps)
-	case core.RangeQuery:
-		return p.c.RangeIDs(q.Window)
-	default:
-		ids, _, err := p.c.query(&proto.QueryMsg{
-			Kind: proto.KindNN, Mode: proto.ModeIDs, Point: q.Point, K: uint16(q.K)})
+// serverIDs runs q on the server for ids only; t receives the frame bytes
+// the exchange moved.
+func (p *Planner) serverIDs(q core.Query, t *wireTally) ([]uint32, error) {
+	m, err := p.wireQuery(q, proto.ModeIDs)
+	if err != nil {
+		return nil, err
+	}
+	if q.Kind == core.PointQuery || q.Kind == core.RangeQuery {
+		ids, _, err := p.c.queryWithFallback(m, t)
 		return ids, err
 	}
+	ids, _, err := p.c.query(m, t)
+	return ids, err
 }
 
-func (p *Planner) serverData(q core.Query) ([]proto.Record, error) {
+// serverData runs q on the server for full records; t receives the frame
+// bytes the exchange moved.
+func (p *Planner) serverData(q core.Query, t *wireTally) ([]proto.Record, error) {
+	m, err := p.wireQuery(q, proto.ModeData)
+	if err != nil {
+		return nil, err
+	}
+	_, recs, err := p.c.queryWithFallback(m, t)
+	return recs, err
+}
+
+// wireQuery builds the pooled request for q; the client's query path
+// releases it.
+func (p *Planner) wireQuery(q core.Query, mode proto.Mode) (*proto.QueryMsg, error) {
+	if q.K > math.MaxUint16 {
+		return nil, fmt.Errorf("client: k=%d exceeds wire limit", q.K)
+	}
+	m := proto.AcquireQuery()
+	m.Mode = mode
 	switch q.Kind {
 	case core.PointQuery:
-		return p.c.Point(q.Point, p.eps)
+		m.Kind, m.Point, m.Eps = proto.KindPoint, q.Point, p.eps
 	case core.RangeQuery:
-		return p.c.Range(q.Window)
+		m.Kind, m.Window = proto.KindRange, q.Window
 	default:
-		k := q.K
-		if k < 1 {
-			k = 1
-		}
-		return p.c.KNearest(q.Point, k)
+		m.Kind, m.Point, m.K = proto.KindNN, q.Point, uint16(max(q.K, 1))
 	}
+	return m, nil
 }
 
 // estimateWork predicts the filtering/refinement volume of q against the

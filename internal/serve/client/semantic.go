@@ -19,6 +19,8 @@
 package client
 
 import (
+	"cmp"
+	"slices"
 	"time"
 
 	"mobispatial/internal/core"
@@ -36,10 +38,6 @@ type EpochFallback interface {
 	// at; 0 means unknown (never fresh).
 	EpochHint() uint64
 }
-
-// wireRecordBytes sizes one proto.Record on the wire (id + 4 coordinates)
-// for the saved-traffic estimate of a semantic hit.
-const wireRecordBytes = 36
 
 // noteHint records the freshest server epoch hint; 0 carries no
 // information and is ignored. A hint that disagrees with the fallback's
@@ -101,20 +99,28 @@ func (c *Client) trySemantic(q *proto.QueryMsg) (ids []uint32, recs []proto.Reco
 		return nil, nil, false // let the wire answer (and revalidate)
 	}
 	mode := q.Mode
+	if q.Kind != proto.KindNN {
+		// Set answers in the server's order: ascending ids.
+		slices.SortFunc(out, func(a, b proto.Record) int { return cmp.Compare(a.ID, b.ID) })
+	}
+	ids = make([]uint32, len(out))
+	for i := range out {
+		ids[i] = out[i].ID
+	}
+	var reply proto.Message = &proto.IDListMsg{IDs: ids}
+	if mode == proto.ModeData {
+		reply = &proto.DataListMsg{Records: out}
+	}
+	saved := c.savedNICJoules(proto.FrameLen(q), proto.FrameLen(reply))
 	proto.ReleaseMessage(q) // the wire path never runs; the request is done
 	c.semHits.Add(1)
 	c.semLocalJ.Add(j)
 	c.metrics.semHits.Inc()
 	c.metrics.semHist.Observe(sec)
 	c.metrics.semLocalJoules.Add(j)
-	saved := c.savedNICJoules(len(out), mode)
 	c.semSavedJ.Add(saved)
 	c.metrics.semSavedJoules.Add(saved)
 
-	ids = make([]uint32, len(out))
-	for i := range out {
-		ids[i] = out[i].ID
-	}
 	if mode == proto.ModeData {
 		return ids, out, true
 	}
@@ -122,18 +128,14 @@ func (c *Client) trySemantic(q *proto.QueryMsg) (ids []uint32, recs []proto.Reco
 }
 
 // savedNICJoules models the radio energy one semantic hit avoided: the
-// request/reply exchange that did not happen, priced with the live
+// request and reply frames that were not sent, priced with the live
 // bandwidth estimate like every real exchange in roundTrip.
-func (c *Client) savedNICJoules(n int, mode proto.Mode) float64 {
+func (c *Client) savedNICJoules(txBytes, rxBytes int) float64 {
 	bw := c.link.estimate().BandwidthBps
 	if bw <= 0 {
 		bw = 2e6 // the paper's base bandwidth when unmeasured
 	}
-	resp := proto.IDListBytes(n)
-	if mode == proto.ModeData {
-		resp = proto.DataListBytes(n, wireRecordBytes)
-	}
-	return c.energy.NICExchangeJoules(proto.QueryRequestBytes, resp, 1, bw)
+	return c.energy.NICExchangeJoules(txBytes, rxBytes, 1, bw)
 }
 
 // SemanticStats is the semantic cache's accounting: local answers served,

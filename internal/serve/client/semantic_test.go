@@ -1,6 +1,7 @@
 package client_test
 
 import (
+	"math"
 	"net"
 	"testing"
 	"time"
@@ -8,6 +9,7 @@ import (
 	"mobispatial/internal/dataset"
 	"mobispatial/internal/geom"
 	"mobispatial/internal/mutable"
+	"mobispatial/internal/obs"
 	"mobispatial/internal/ops"
 	"mobispatial/internal/parallel"
 	"mobispatial/internal/rtree"
@@ -307,5 +309,54 @@ func TestSemanticCacheRetiresOnWrite(t *testing.T) {
 func TestSemanticCacheRequiresEpochFallback(t *testing.T) {
 	if _, err := client.New(client.Config{Addr: "127.0.0.1:1", SemanticCache: true}); err == nil {
 		t.Fatal("SemanticCache without an EpochFallback was accepted")
+	}
+}
+
+// TestSemanticSavedJoulesPriceSkippedFrames checks that a semantic hit is
+// credited with exactly the radio energy of the exchange it skipped: the
+// same query sent over the wire moves frames whose NIC price equals the
+// hit's saved Joules.
+func TestSemanticSavedJoulesPriceSkippedFrames(t *testing.T) {
+	ds, tree := semanticDataset(t)
+	pool, err := parallel.New(ds, tree, 0)
+	if err != nil {
+		t.Fatalf("pool: %v", err)
+	}
+	addr := startSemServer(t, serve.Config{Pool: pool, Master: tree})
+	ship := fetchWholeShipment(t, addr, ds)
+	c, err := client.New(client.Config{
+		Addr: addr, Conns: 1,
+		Fallback:       ship,
+		SemanticCache:  true,
+		SemanticMaxAge: 10 * time.Second,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	const bw = 2e6
+	c.SetLink(time.Millisecond, bw)
+
+	center := ds.Extent.Center()
+	window := geom.Rect{
+		Min: geom.Point{X: center.X - 6000, Y: center.Y - 6000},
+		Max: geom.Point{X: center.X + 6000, Y: center.Y + 6000},
+	}
+	pre := c.WireStats()
+	if _, err := c.RangeIDs(window); err != nil { // over the wire: primes the hint
+		t.Fatal(err)
+	}
+	post := c.WireStats()
+	saved := c.Semantic().SavedNICJoules
+	if _, err := c.RangeIDs(window); err != nil { // the same query, answered locally
+		t.Fatal(err)
+	}
+	if c.WireStats().Exchanges != post.Exchanges || c.Semantic().Hits != 1 {
+		t.Fatalf("second query was not a semantic hit: %+v", c.Semantic())
+	}
+	want := obs.DefaultEnergyModel().NICExchangeJoules(
+		int(post.BytesTx-pre.BytesTx), int(post.BytesRx-pre.BytesRx), 1, bw)
+	if got := c.Semantic().SavedNICJoules - saved; math.Abs(got-want) > 1e-12 {
+		t.Fatalf("semantic hit saved %g J, the skipped exchange costs %g J", got, want)
 	}
 }

@@ -237,7 +237,7 @@ func TestPanicContainment(t *testing.T) {
 	if !ok {
 		t.Fatalf("post-panic query answered with %v", msg.Type())
 	}
-	if !sameIDs(lst.IDs, pool.Range(w)) {
+	if !sameIDs(lst.IDs, sortedIDs(pool.Range(w))) {
 		t.Fatal("post-panic answer mismatched")
 	}
 	if srv.Stats().Errors == 0 {

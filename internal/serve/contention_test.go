@@ -41,11 +41,11 @@ func TestPipelinedBatchContention(t *testing.T) {
 		}
 		switch rng.Intn(4) {
 		case 0:
-			return proto.QueryMsg{Kind: proto.KindRange, Mode: proto.ModeIDs, Window: w}, pool.Range(w)
+			return proto.QueryMsg{Kind: proto.KindRange, Mode: proto.ModeIDs, Window: w}, sortedIDs(pool.Range(w))
 		case 1:
-			return proto.QueryMsg{Kind: proto.KindPoint, Mode: proto.ModeIDs, Point: pt}, pool.Point(pt, DefaultPointEps)
+			return proto.QueryMsg{Kind: proto.KindPoint, Mode: proto.ModeIDs, Point: pt}, sortedIDs(pool.Point(pt, DefaultPointEps))
 		case 2:
-			return proto.QueryMsg{Kind: proto.KindRange, Mode: proto.ModeFilter, Window: w}, pool.FilterRange(w)
+			return proto.QueryMsg{Kind: proto.KindRange, Mode: proto.ModeFilter, Window: w}, sortedIDs(pool.FilterRange(w))
 		default:
 			k := 1 + rng.Intn(6)
 			var ids []uint32

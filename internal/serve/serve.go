@@ -23,7 +23,9 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 	"net"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -364,6 +366,8 @@ type reqScratch struct {
 	cids      []uint32
 	csegs     []geom.Segment
 	cdists    []float64
+	// sortBuf is sortIDs' radix scratch.
+	sortBuf []uint32
 }
 
 // Retention caps for pooled scratch, mirroring internal/proto's: a scratch
@@ -382,7 +386,8 @@ func (s *Server) putScratch(sc *reqScratch) {
 		cap(sc.nbrMsg.Neighbors) > maxScratchRecords {
 		return
 	}
-	if cap(sc.cids) > maxScratchIDs || cap(sc.csegs) > maxScratchIDs || cap(sc.cdists) > maxScratchIDs {
+	if cap(sc.cids) > maxScratchIDs || cap(sc.csegs) > maxScratchIDs || cap(sc.cdists) > maxScratchIDs ||
+		cap(sc.sortBuf) > maxScratchIDs {
 		return
 	}
 	items := sc.batch.Items[:cap(sc.batch.Items)]
@@ -1194,10 +1199,67 @@ func (s *Server) executeUpdate(req proto.Message, sc *reqScratch) proto.Message 
 
 // runQuery answers one query, appending the matching ids to dst. On error
 // it returns dst untouched plus the error code and text. This is the single
-// traversal entry both the single-query and batch paths share. When the
-// pool is a DeadlineExecutor the request deadline is threaded into the
-// traversal so a fanned-out query caps its slowest leg.
+// traversal entry both the single-query and batch paths share. Point, range
+// and filter answers are sets and come back sorted, which the id-list
+// encoding turns into small deltas; k-NN answers keep their distance order.
 func (s *Server) runQuery(q *proto.QueryMsg, sc *reqScratch, dst []uint32, deadline time.Time) ([]uint32, proto.ErrCode, string) {
+	n := len(dst)
+	ids, code, text := s.traverse(q, sc, dst, deadline)
+	if code == 0 && q.Kind != proto.KindNN {
+		sc.sortIDs(ids[n:])
+	}
+	return ids, code, text
+}
+
+// radixMinIDs is the answer size from which sortIDs radix-sorts. Below it
+// pdqsort is as fast; above it pdqsort dominates the query: on PA a 12 km
+// window's ~9.6k ids took 690 µs to sort against 290 µs to find (2-CPU
+// Xeon VM), the radix sort about 0.1 ms.
+const radixMinIDs = 128
+
+// sortIDs sorts ids ascending: an LSD radix sort in the fewest passes of at
+// most 11 bits that cover the largest id, ping-ponging through sc.sortBuf.
+func (sc *reqScratch) sortIDs(ids []uint32) {
+	if len(ids) < radixMinIDs {
+		slices.Sort(ids)
+		return
+	}
+	width := bits.Len32(slices.Max(ids))
+	passes := (width + 10) / 11
+	if passes == 0 {
+		return // all zero
+	}
+	digit := (width + passes - 1) / passes
+	mask := uint32(1)<<digit - 1
+	sc.sortBuf = slices.Grow(sc.sortBuf[:0], len(ids))
+	src, dst := ids, sc.sortBuf[:len(ids)]
+	var at [1 << 11]int32
+	for shift := 0; shift < width; shift += digit {
+		counts := at[:mask+1]
+		clear(counts)
+		for _, id := range src {
+			counts[id>>shift&mask]++
+		}
+		sum := int32(0)
+		for i, c := range counts {
+			counts[i], sum = sum, sum+c
+		}
+		for _, id := range src {
+			d := id >> shift & mask
+			dst[counts[d]] = id
+			counts[d]++
+		}
+		src, dst = dst, src
+	}
+	if passes%2 == 1 {
+		copy(ids, src)
+	}
+}
+
+// traverse runs one query on the pool in executor order. When the pool is a
+// DeadlineExecutor the request deadline is threaded into the traversal so a
+// fanned-out query caps its slowest leg.
+func (s *Server) traverse(q *proto.QueryMsg, sc *reqScratch, dst []uint32, deadline time.Time) ([]uint32, proto.ErrCode, string) {
 	eps := q.Eps
 	if eps <= 0 {
 		eps = s.cfg.PointEps

@@ -3,6 +3,7 @@ package serve
 import (
 	"math/rand"
 	"net"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -147,7 +148,7 @@ func TestServerAnswersMatchPool(t *testing.T) {
 		if err != nil {
 			t.Fatalf("range ids: %v", err)
 		}
-		if want := pool.Range(w); !sameIDs(gotIDs, want) {
+		if want := sortedIDs(pool.Range(w)); !sameIDs(gotIDs, want) {
 			t.Fatalf("range ids mismatch: got %d want %d", len(gotIDs), len(want))
 		}
 
@@ -165,7 +166,7 @@ func TestServerAnswersMatchPool(t *testing.T) {
 		if err != nil {
 			t.Fatalf("filter: %v", err)
 		}
-		if want := pool.FilterRange(w); !sameIDs(cands, want) {
+		if want := sortedIDs(pool.FilterRange(w)); !sameIDs(cands, want) {
 			t.Fatalf("filter candidates mismatch")
 		}
 
@@ -173,7 +174,7 @@ func TestServerAnswersMatchPool(t *testing.T) {
 		if err != nil {
 			t.Fatalf("point: %v", err)
 		}
-		if want := pool.Point(pt, DefaultPointEps); !sameIDs(ptIDs, want) {
+		if want := sortedIDs(pool.Point(pt, DefaultPointEps)); !sameIDs(ptIDs, want) {
 			t.Fatalf("point ids mismatch")
 		}
 
@@ -333,7 +334,7 @@ func TestPipelining(t *testing.T) {
 			Max: geom.Point{X: center.X + half, Y: center.Y + half},
 		}
 		id := uint32(1000 + i)
-		want[id] = pool.Range(w)
+		want[id] = sortedIDs(pool.Range(w))
 		if _, err := proto.WriteMessage(nc, &proto.QueryMsg{
 			ID: id, Kind: proto.KindRange, Mode: proto.ModeIDs, Window: w,
 		}); err != nil {
@@ -536,6 +537,13 @@ func sameIDsUnordered(a, b []uint32) bool {
 		}
 	}
 	return true
+}
+
+// sortedIDs sorts an executor-order point, range or filter answer in place
+// into the ascending order the server sends set answers in.
+func sortedIDs(ids []uint32) []uint32 {
+	slices.Sort(ids)
+	return ids
 }
 
 func sameIDs(a, b []uint32) bool {
