@@ -72,14 +72,6 @@ func (t *Tracker) Touch(i int) {
 	t.raw[i].Add(1)
 }
 
-// TouchN records n accesses to slot i.
-func (t *Tracker) TouchN(i int, n uint64) {
-	if t == nil || i < 0 || i >= len(t.raw) {
-		return
-	}
-	t.raw[i].Add(n)
-}
-
 // Decay folds the raw counts accumulated over the elapsed seconds into the
 // EWMA rates. rate' = rate*decay + (raw/elapsed)*(1-decay), with decay
 // derived from the half-life; elapsed <= 0 is a no-op.

@@ -4,8 +4,6 @@ import (
 	"time"
 
 	"mobispatial/internal/geom"
-	"mobispatial/internal/ops"
-	"mobispatial/internal/rtree"
 )
 
 // Compaction folds a shard's overlay back into a freshly bulk-loaded packed
@@ -85,29 +83,8 @@ func (s *mshard) freeze() *frozenView {
 // finishCompact runs phases 2 and 3 over a frozen overlay.
 func (s *mshard) finishCompact(f *frozenView) bool {
 	// Phase 2: rebuild from immutable inputs.
-	old := s.base.Load()
-	items := make([]rtree.Item, 0, len(old.items)+len(f.overSeg))
-	has := make(map[uint32]struct{}, len(old.items)+len(f.overSeg))
-	over := make(map[uint32]geom.Segment, len(old.over)+len(f.overSeg))
-	for _, it := range old.items {
-		if _, dead := f.tombs[it.ID]; dead {
-			continue
-		}
-		if _, moved := f.overSeg[it.ID]; moved {
-			continue
-		}
-		items = append(items, it)
-		has[it.ID] = struct{}{}
-		if seg, ok := old.over[it.ID]; ok {
-			over[it.ID] = seg
-		}
-	}
-	for id, seg := range f.overSeg {
-		items = append(items, rtree.Item{MBR: seg.MBR(), ID: id})
-		has[id] = struct{}{}
-		over[id] = seg
-	}
-	tree, err := rtree.Build(items, rtree.Config{NodeBytes: s.pl.cfg.NodeBytes}, ops.Null{})
+	items, over := mergedItems(s.base.Load(), f)
+	nv, err := newBaseView(items, over, s.pl.cfg.NodeBytes)
 	if err != nil {
 		// Cannot happen with a config that built the initial base; if it
 		// somehow does, leave the frozen layer in place — reads remain
@@ -115,7 +92,6 @@ func (s *mshard) finishCompact(f *frozenView) bool {
 		s.pl.m.compactErrs.Inc()
 		return false
 	}
-	nv := &baseView{tree: tree, items: items, has: has, over: over, bounds: tree.Bounds()}
 
 	// Phase 3: swap.
 	s.mu.Lock()

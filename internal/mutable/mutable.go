@@ -242,7 +242,9 @@ type Pool struct {
 }
 
 // New builds an updatable pool over cfg.Ranges. The range Items slices seed
-// the packed bases (they are copied; the caller's slices are not retained).
+// the packed bases. The caller's slices are not retained: each base keeps its
+// own pack-order copy of its items, and the topology its own copy of the
+// cuts.
 func New(cfg Config) (*Pool, error) {
 	if cfg.Dataset == nil {
 		return nil, fmt.Errorf("mutable: nil dataset")
@@ -270,11 +272,14 @@ func New(cfg Config) (*Pool, error) {
 		ownerOf: make(map[uint32]*mshard),
 		stopc:   make(chan struct{}),
 	}
+	// The pool keeps cfg's settings but none of its slices: Ranges alias
+	// the caller's whole item list.
+	p.cfg.Ranges, p.cfg.Cuts, p.cfg.GlobalIndex = nil, nil, nil
 	p.nnPool.New = func() any { return newNNState(p) }
 	p.m = newPoolMetrics(cfg.Obs)
 
 	t := &topology{
-		cuts:  cfg.Cuts,
+		cuts:  append([]uint64(nil), cfg.Cuts...),
 		local: make(map[int]int, len(cfg.Ranges)),
 	}
 	for i, r := range cfg.Ranges {

@@ -223,10 +223,11 @@ func freezePairForRepartition(p *Pool, a, b *mshard) (fa, fb *frozenView) {
 	return fa, fb
 }
 
-// mergedItems folds a frozen overlay into its base's item set — compaction
-// phase 2 without the tree build. Both inputs are immutable; the result is
-// the shard's visible-beneath-the-live-overlay contents, with over carrying
-// the geometry of every id whose segment differs from the base dataset.
+// mergedItems folds a frozen overlay into its base's item set: the input of
+// the tree build in compaction phase 2 and in a repartition. Both inputs are
+// immutable; the result is the shard's visible-beneath-the-live-overlay
+// contents, with over carrying the geometry of every id whose segment
+// differs from the base dataset.
 func mergedItems(old *baseView, f *frozenView) ([]rtree.Item, map[uint32]geom.Segment) {
 	items := make([]rtree.Item, 0, len(old.items)+len(f.overSeg))
 	over := make(map[uint32]geom.Segment, len(old.over)+len(f.overSeg))

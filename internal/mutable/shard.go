@@ -20,7 +20,9 @@ import (
 // never mutates a published view, so the empty-overlay fast path needs no
 // lock at all.
 type baseView struct {
-	tree  *rtree.Tree
+	tree *rtree.Tree
+	// items is tree.PackOrder(): the base's one copy of its (MBR, id)
+	// pairs, shared with the tree's leaf level. Read-only.
 	items []rtree.Item
 	// has is the base's membership set (ids packed into tree).
 	has map[uint32]struct{}
@@ -29,6 +31,21 @@ type baseView struct {
 	// compactions. Ids absent here resolve through Dataset.Seg.
 	over   map[uint32]geom.Segment
 	bounds geom.Rect
+}
+
+// newBaseView packs items into a fresh base whose items slice is the tree's
+// pack order, so the view holds each (MBR, id) pair once.
+func newBaseView(items []rtree.Item, over map[uint32]geom.Segment, nodeBytes int) (*baseView, error) {
+	tree, err := rtree.Build(items, rtree.Config{NodeBytes: nodeBytes}, ops.Null{})
+	if err != nil {
+		return nil, err
+	}
+	order := tree.PackOrder()
+	has := make(map[uint32]struct{}, len(order))
+	for _, it := range order {
+		has[it.ID] = struct{}{}
+	}
+	return &baseView{tree: tree, items: order, has: has, over: over, bounds: tree.Bounds()}, nil
 }
 
 func (bv *baseView) seg(ds segDataset, id uint32) geom.Segment {
@@ -102,25 +119,15 @@ type mshard struct {
 	frozen  *frozenView
 }
 
+// newMShard builds a shard whose base packs items. items is not retained:
+// the base keeps only the tree's own pack-order copy.
 func newMShard(p *Pool, li int, items []rtree.Item) (*mshard, error) {
-	own := make([]rtree.Item, len(items))
-	copy(own, items)
-	tree, err := rtree.Build(own, rtree.Config{NodeBytes: p.cfg.NodeBytes}, ops.Null{})
+	bv, err := newBaseView(items, map[uint32]geom.Segment{}, p.cfg.NodeBytes)
 	if err != nil {
 		return nil, fmt.Errorf("mutable: shard %d base: %w", li, err)
 	}
-	has := make(map[uint32]struct{}, len(own))
-	for _, it := range own {
-		has[it.ID] = struct{}{}
-	}
 	s := &mshard{pl: p, li: li}
-	s.base.Store(&baseView{
-		tree:   tree,
-		items:  own,
-		has:    has,
-		over:   map[uint32]geom.Segment{},
-		bounds: tree.Bounds(),
-	})
+	s.base.Store(bv)
 	s.delta, err = newDelta(p.cfg.DeltaNodeBytes)
 	if err != nil {
 		return nil, fmt.Errorf("mutable: shard %d delta: %w", li, err)

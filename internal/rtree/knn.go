@@ -117,9 +117,6 @@ func (t *Tree) KNearestAppend(dst []Neighbor, p geom.Point, k int, dist DistFunc
 // sequence of KNearestCollect folds.
 func (sc *NNScratch) ResetKNN() { sc.heap = sc.heap[:0] }
 
-// KNNLen returns the number of neighbors currently accumulated.
-func (sc *NNScratch) KNNLen() int { return len(sc.heap) }
-
 // KNNBound returns the accumulator's pruning distance: the k-th best so
 // far, or +Inf while fewer than k neighbors are known. A subtree — or a
 // whole shard — whose lower bound exceeds it cannot contribute.
@@ -182,12 +179,12 @@ func (t *Tree) knn(n *node, p geom.Point, k int, dist DistFunc, rec ops.Recorder
 		for i := range n.entries {
 			t.scanEntry(n, i, rec)
 			rec.Op(ops.OpDistCalc, 1)
-			if n.entries[i].mbr.MinDist(p) > knnBound(best, k) {
+			if n.entries[i].MBR.MinDist(p) > knnBound(best, k) {
 				continue
 			}
-			d := dist(n.entries[i].ptr)
+			d := dist(n.entries[i].ID)
 			if d < knnBound(best, k) {
-				best.push(Neighbor{ID: n.entries[i].ptr, Dist: d})
+				best.push(Neighbor{ID: n.entries[i].ID, Dist: d})
 				rec.Op(ops.OpHeapOp, 1)
 				if len(*best) > k {
 					best.pop()
@@ -206,7 +203,7 @@ func (t *Tree) knn(n *node, p geom.Point, k int, dist DistFunc, rec ops.Recorder
 	for i := range n.entries {
 		t.scanEntry(n, i, rec)
 		rec.Op(ops.OpDistCalc, 1)
-		branches = append(branches, branch{minDist: n.entries[i].mbr.MinDist(p), idx: i})
+		branches = append(branches, branch{minDist: n.entries[i].MBR.MinDist(p), idx: i})
 	}
 	if sc != nil {
 		sc.keep(n.level, branches)
@@ -217,6 +214,6 @@ func (t *Tree) knn(n *node, p geom.Point, k int, dist DistFunc, rec ops.Recorder
 		if br.minDist > knnBound(best, k) {
 			break // MINDIST-ordered: all later branches prune too
 		}
-		t.knn(&t.nodes[n.entries[br.idx].ptr], p, k, dist, rec, sc, best)
+		t.knn(&t.nodes[n.entries[br.idx].ID], p, k, dist, rec, sc, best)
 	}
 }

@@ -90,11 +90,9 @@ func (c *Config) fill() {
 func (c Config) fanout() int { return (c.NodeBytes - HeaderBytes) / EntryBytes }
 
 // entry is one slot of a node: an MBR and either a child node index
-// (internal nodes) or a data item id (leaves).
-type entry struct {
-	mbr geom.Rect
-	ptr uint32
-}
+// (internal nodes) or a data item id (leaves). It is Item itself, so the
+// leaf level is the pack order with no copy of its own.
+type entry = Item
 
 // node is one index node.
 type node struct {
@@ -111,16 +109,18 @@ type Tree struct {
 	height int   // number of levels (0 for empty tree)
 	nitems int
 	bounds geom.Rect
-	// leafOrder[i] is the id of the i-th item in Hilbert pack order; used by
-	// the memory-budgeted subset extraction (Fig. 2).
+	// leafOrder is every item in pack order, and it is the leaf level: leaf
+	// k's entries are leafOrder[k*fanout:(k+1)*fanout]. The memory-budgeted
+	// subset extraction (Fig. 2) reads it by pack position.
 	leafOrder []Item
 }
 
 // Build bulk-loads a packed R-tree from items. The item slice is not
-// retained; order is not preserved. rec receives the build's operation
-// stream (one OpIndexBuildEntry per placed entry, plus the node stores),
-// charged to whichever machine performs the build — the server builds the
-// shipped sub-index in the insufficient-memory scenario (§4).
+// retained: Build keeps one copy of it, sorted into pack order, and the leaf
+// nodes' entries alias that copy (see PackOrder). rec receives the build's
+// operation stream (one OpIndexBuildEntry per placed entry, plus the node
+// stores), charged to whichever machine performs the build — the server
+// builds the shipped sub-index in the insufficient-memory scenario (§4).
 func Build(items []Item, cfg Config, rec ops.Recorder) (*Tree, error) {
 	cfg.fill()
 	fanout := cfg.fanout()
@@ -162,10 +162,8 @@ func Build(items []Item, cfg Config, rec ops.Recorder) (*Tree, error) {
 	t.leafOrder = sorted
 
 	// Build leaves, then each upper level, packing fanout entries per node.
-	level := make([]entry, len(sorted))
-	for i, it := range sorted {
-		level[i] = entry{mbr: it.MBR, ptr: it.ID}
-	}
+	// The leaf level is the sorted items themselves.
+	level := sorted
 	rec.Op(ops.OpIndexBuildEntry, len(sorted))
 
 	var lvl int16
@@ -188,9 +186,9 @@ func Build(items []Item, cfg Config, rec ops.Recorder) (*Tree, error) {
 			rec.Store(n.addr, HeaderBytes+len(n.entries)*EntryBytes)
 			mbr := geom.EmptyRect()
 			for _, e := range n.entries {
-				mbr = mbr.Union(e.mbr)
+				mbr = mbr.Union(e.MBR)
 			}
-			next = append(next, entry{mbr: mbr, ptr: uint32(idx)})
+			next = append(next, entry{MBR: mbr, ID: uint32(idx)})
 		}
 		rec.Op(ops.OpIndexBuildEntry, len(next))
 		t.height++
@@ -260,8 +258,9 @@ func (t *Tree) Bounds() geom.Rect { return t.bounds }
 // Fanout returns the entries-per-node capacity.
 func (t *Tree) Fanout() int { return t.cfg.fanout() }
 
-// PackOrder returns the items in Hilbert pack order. The slice is owned by
-// the tree; callers must not modify it.
+// PackOrder returns the items in pack order. The slice is the tree's leaf
+// level, not a copy: leaf nodes' entries alias it, so writing to it corrupts
+// the index. Callers must treat it as read-only.
 func (t *Tree) PackOrder() []Item { return t.leafOrder }
 
 // visitNode charges one node visit: the traversal bookkeeping op plus the
@@ -300,15 +299,15 @@ func (t *Tree) search(n *node, window geom.Rect, rec ops.Recorder, out *[]uint32
 	t.visitNode(n, rec)
 	for i := range n.entries {
 		t.scanEntry(n, i, rec)
-		if !window.Intersects(n.entries[i].mbr) {
+		if !window.Intersects(n.entries[i].MBR) {
 			continue
 		}
 		if n.level == 0 {
 			rec.Op(ops.OpResultAppend, 1)
 			rec.Store(ops.ScratchBase+uint64(len(*out))*4, 4)
-			*out = append(*out, n.entries[i].ptr)
+			*out = append(*out, n.entries[i].ID)
 		} else {
-			t.search(&t.nodes[n.entries[i].ptr], window, rec, out)
+			t.search(&t.nodes[n.entries[i].ID], window, rec, out)
 		}
 	}
 }
@@ -422,17 +421,17 @@ func (t *Tree) nearest(n *node, p geom.Point, dist DistFunc, rec ops.Recorder,
 		for i := range n.entries {
 			t.scanEntry(n, i, rec)
 			rec.Op(ops.OpDistCalc, 1)
-			if n.entries[i].mbr.MinDist(p) > *best {
+			if n.entries[i].MBR.MinDist(p) > *best {
 				continue
 			}
 			// Strictly-closer acceptance keeps NearestWithin's bound
 			// semantics exact: an item at exactly the bound is not "within"
 			// it. For the unbounded entry points best starts at +Inf, so
 			// every finite distance is accepted on first sight as before.
-			d := dist(n.entries[i].ptr)
+			d := dist(n.entries[i].ID)
 			if d < *best {
 				*best = d
-				*bestID = n.entries[i].ptr
+				*bestID = n.entries[i].ID
 				*found = true
 			}
 		}
@@ -450,8 +449,8 @@ func (t *Tree) nearest(n *node, p geom.Point, dist DistFunc, rec ops.Recorder,
 	for i := range n.entries {
 		t.scanEntry(n, i, rec)
 		rec.Op(ops.OpDistCalc, 2) // MINDIST + MINMAXDIST
-		md := n.entries[i].mbr.MinDist(p)
-		mmd := n.entries[i].mbr.MinMaxDist(p)
+		md := n.entries[i].MBR.MinDist(p)
+		mmd := n.entries[i].MBR.MinMaxDist(p)
 		if mmd < minMaxBound {
 			minMaxBound = mmd
 		}
@@ -470,7 +469,7 @@ func (t *Tree) nearest(n *node, p geom.Point, dist DistFunc, rec ops.Recorder,
 		if br.minDist > *best || br.minDist > minMaxBound {
 			continue
 		}
-		t.nearest(&t.nodes[n.entries[br.idx].ptr], p, dist, rec, sc, best, bestID, found)
+		t.nearest(&t.nodes[n.entries[br.idx].ID], p, dist, rec, sc, best, bestID, found)
 	}
 }
 

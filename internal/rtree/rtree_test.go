@@ -106,10 +106,10 @@ func TestPackingInvariants(t *testing.T) {
 			continue
 		}
 		for _, e := range n.entries {
-			child := &tr.nodes[e.ptr]
+			child := &tr.nodes[e.ID]
 			for _, ce := range child.entries {
-				if !e.mbr.ContainsRect(ce.mbr) {
-					t.Fatalf("parent MBR %v does not contain child entry %v", e.mbr, ce.mbr)
+				if !e.MBR.ContainsRect(ce.MBR) {
+					t.Fatalf("parent MBR %v does not contain child entry %v", e.MBR, ce.MBR)
 				}
 			}
 		}
@@ -283,6 +283,35 @@ func TestPackOrderIsHilbertSorted(t *testing.T) {
 			t.Fatalf("id %d duplicated in pack order", it.ID)
 		}
 		seen[it.ID] = true
+	}
+}
+
+// TestLeavesAliasPackOrder pins the single-copy layout: under every packing,
+// leaf k's entries are PackOrder()[k*fanout:] itself, not a copy of it.
+func TestLeavesAliasPackOrder(t *testing.T) {
+	segs := randSegments(1013, 17) // a partial last leaf
+	for _, pk := range []Packing{PackingHilbert, PackingSTR, PackingXSort} {
+		tr := buildTest(t, segs, Config{Packing: pk})
+		order, fanout := tr.PackOrder(), tr.Fanout()
+		k := 0
+		for i := range tr.nodes {
+			n := &tr.nodes[i]
+			if n.level != 0 {
+				continue
+			}
+			lo := k * fanout
+			if lo >= len(order) || len(n.entries) != min(fanout, len(order)-lo) {
+				t.Fatalf("packing %d: leaf %d has %d entries at pack offset %d of %d",
+					pk, k, len(n.entries), lo, len(order))
+			}
+			if &n.entries[0] != &order[lo] {
+				t.Fatalf("packing %d: leaf %d entries do not alias PackOrder()[%d:]", pk, k, lo)
+			}
+			k++
+		}
+		if k*fanout < len(order) {
+			t.Fatalf("packing %d: %d leaves cover %d of %d items", pk, k, k*fanout, len(order))
+		}
 	}
 }
 

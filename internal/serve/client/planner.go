@@ -50,18 +50,6 @@ func (p Plan) String() string {
 	return fmt.Sprintf("Plan(%d)", uint8(p))
 }
 
-// Objective selects which §4.1 condition drives the plan choice.
-type Objective uint8
-
-// The objectives.
-const (
-	// Performance minimizes client-observed cycles (the §4.1 performance
-	// condition).
-	Performance Objective = iota
-	// Energy minimizes client energy (the §4.1 energy condition).
-	Energy
-)
-
 // CostModel calibrates the planner's analytic inputs: the per-work cycle
 // prices and the power draws of §4.1, defaulting to the repository's
 // simulated machines (Table 2–4).
@@ -109,27 +97,20 @@ func DefaultCostModel() CostModel {
 type Planner struct {
 	c       *Client
 	model   CostModel
-	obj     Objective
 	eps     float64
 	batch   int
 	ship    *Shipment
 	metrics plannerMetrics
 }
 
-// NewPlanner builds a planner with the default cost model and the
-// performance objective. Observability follows the client: with Config.Obs
+// NewPlanner builds a planner with the default cost model; the §4.1
+// performance condition (client cycles saved) decides each plan. Observability follows the client: with Config.Obs
 // set, every Execute records per-scheme metrics, a sampled span, and the
 // predicted-vs-actual partitioning error.
 func NewPlanner(c *Client) *Planner {
 	return &Planner{c: c, model: DefaultCostModel(), eps: core.PointEps,
 		metrics: newPlannerMetrics(c.hub)}
 }
-
-// SetCostModel replaces the cost calibration.
-func (p *Planner) SetCostModel(m CostModel) { p.model = m }
-
-// SetObjective selects the driving §4.1 condition.
-func (p *Planner) SetObjective(o Objective) { p.obj = o }
 
 // SetBatch declares that offloaded queries travel in batches of n (the
 // QueryBatch wire message), so the advisor prices the per-exchange costs —
@@ -188,11 +169,7 @@ func (p *Planner) plan(q core.Query) (plan Plan, v core.Verdict, in core.Analyti
 	}
 	in = p.analyticInputs(q)
 	v = in.Advise()
-	offload := v.SavesCycles
-	if p.obj == Energy {
-		offload = v.SavesEnergy
-	}
-	if offload {
+	if v.SavesCycles {
 		return PlanServerIDs, v, in, true
 	}
 	return PlanLocal, v, in, true
